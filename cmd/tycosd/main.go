@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		queue    = fs.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 		shed     = fs.String("shed", "reject", "overload policy: reject (429 + Retry-After) or degrade (sliding-PCC pre-screen)")
 		retryAft = fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
-		attempts = fs.Int("retry-attempts", 3, "attempts for transient journal/ingest errors")
+		attempts = fs.Int("retry-attempts", 3, "attempts for transient journal errors")
 		retryB   = fs.Duration("retry-base", 10*time.Millisecond, "first retry backoff (doubles per attempt, jittered)")
 		maxEvals = fs.Int("maxevals", 0, "cap every request's evaluation budget (0 = uncapped)")
 		searchTO = fs.Duration("search-timeout", 0, "cap every request's wall-clock budget (0 = uncapped)")

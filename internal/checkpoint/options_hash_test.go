@@ -76,7 +76,7 @@ func nonZeroFor(t *testing.T, field reflect.StructField) reflect.Value {
 	case reflect.TypeOf((*core.EstimatorCache)(nil)):
 		return reflect.ValueOf(core.NewEstimatorCache(4))
 	case reflect.TypeOf((*obs.Sink)(nil)).Elem():
-		return reflect.ValueOf(obs.NewMetrics())
+		return reflect.ValueOf(obs.NewRegistry())
 	}
 	v := reflect.New(field.Type).Elem()
 	switch field.Type.Kind() {

@@ -12,16 +12,17 @@
 //   - Crashes. Completed searches are journaled through internal/checkpoint
 //     (opt-in fsync, auto-compaction); after a kill -9 a restarted daemon
 //     serves every journaled result byte-identically instead of recomputing
-//     it. Transient journal and ingest errors are retried with jittered
+//     it. Transient journal errors are retried with jittered
 //     exponential backoff; a journal that stays broken degrades readiness
 //     instead of crashing the server.
 //   - Shutdown. Drain stops admission, lets in-flight searches finish,
 //     flushes the journal and only then returns, so SIGTERM under an
 //     orchestrator loses nothing.
 //
-// Liveness (/healthz), readiness (/readyz) and a JSON status snapshot
-// (/statusz) are backed by an internal/obs Metrics sink; every admission
-// decision and failure is counted there and mirrored to any extra Observer.
+// Liveness (/healthz), readiness (/readyz), a JSON status snapshot
+// (/statusz) and the Prometheus exposition (/metrics) are all read from one
+// internal/obs Registry; every admission decision and failure is counted
+// there and mirrored to any extra Observer.
 package daemon
 
 import (
@@ -77,7 +78,7 @@ type Config struct {
 	// (checkpoint.Options.AutoCompactBytes).
 	JournalCompactBytes int64
 	// RetryAttempts is the total number of attempts for transient journal
-	// and ingest errors (0 → 3); RetryBase is the first backoff delay
+	// errors (0 → 3); RetryBase is the first backoff delay
 	// (0 → 10ms). Backoff doubles per attempt with jitter in [d, 2d).
 	RetryAttempts int
 	RetryBase     time.Duration
@@ -91,8 +92,9 @@ type Config struct {
 	TimeoutCap time.Duration
 	// MaxBodyBytes bounds a request body (0 → 32 MiB).
 	MaxBodyBytes int64
-	// Observer, when non-nil, receives every event/counter/gauge the
-	// daemon's internal Metrics sink sees (fanned out with obs.Multi).
+	// Observer, when non-nil, receives every event, counter, gauge and
+	// phase timing the daemon's registry aggregates (fanned out with
+	// obs.Multi).
 	Observer obs.Sink
 	// TraceSample is the fraction of search requests stamped with a
 	// request-scoped trace (deterministic head sampling on the trace ID;
@@ -147,7 +149,6 @@ func (cfg Config) withDefaults() Config {
 // with Drain (graceful) or Close (immediate).
 type Server struct {
 	cfg     Config
-	metrics *obs.Metrics
 	sink    obs.Sink
 	journal *checkpoint.Journal
 
@@ -166,7 +167,7 @@ type Server struct {
 	retry     *retrier
 	mux       *http.ServeMux
 
-	// Telemetry (telemetry.go): the Prometheus registry behind /metrics,
+	// Telemetry (telemetry.go): the registry behind /metrics and /statusz,
 	// pre-registered route/queue instruments, the deterministic trace
 	// sampler and per-request sequence, the slow-search log, and the
 	// runtime-gauge sampler's lifecycle.
@@ -192,17 +193,13 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		metrics: obs.NewMetrics(),
-		store:   store{series: make(map[string][]float64)},
-		queue:   make(chan *task, cfg.QueueDepth),
-		mux:     http.NewServeMux(),
+		cfg:   cfg,
+		store: store{series: make(map[string][]float64)},
+		queue: make(chan *task, cfg.QueueDepth),
+		mux:   http.NewServeMux(),
 	}
 	s.initTelemetry()
-	// The registry sits in the same fan-out as the Metrics sink, so every
-	// counter, gauge and event the daemon already emits becomes a scrapeable
-	// series with no second instrumentation site.
-	s.sink = obs.Multi(s.metrics, s.registry, cfg.Observer)
+	s.sink = obs.Multi(s.registry, cfg.Observer)
 	s.retry = newRetrier(cfg.RetryAttempts, cfg.RetryBase, cfg.Seed)
 	s.journalOK.Store(true)
 	if cfg.JournalPath != "" {
@@ -224,9 +221,8 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the daemon's HTTP handler (see routes in handlers.go).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the daemon's internal aggregation sink, which the status
-// endpoints are built on.
-func (s *Server) Metrics() *obs.Metrics { return s.metrics }
+// Metrics exposes the daemon's registry, which every status endpoint reads.
+func (s *Server) Metrics() *obs.Registry { return s.registry }
 
 // store holds the ingested series: append-only float64 columns keyed by
 // name. Appends may grow (reallocate) a column, but existing elements are

@@ -10,8 +10,8 @@ import (
 	"tycos/internal/faultinject"
 )
 
-// retrier runs transient-failure-prone operations (journal appends, ingest
-// side effects) with jittered exponential backoff. The jitter source is a
+// retrier runs transient-failure-prone operations (journal appends) with
+// jittered exponential backoff. The jitter source is a
 // seeded PRNG so tests pin the exact delay sequence; jitter decorrelates
 // concurrent retriers in production, where many workers may hit the same
 // failing disk at once.

@@ -369,7 +369,7 @@ func TestSamplerTicks(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1, SampleInterval: time.Millisecond})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.metrics.GaugeValue("runtime.goroutines") > 0 {
+		if s.registry.GaugeValue("runtime.goroutines") > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -1,72 +1,85 @@
 package obs
 
 import (
+	"encoding/json"
 	"expvar"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestSnapshotEmpty(t *testing.T) {
-	s := NewMetrics().Snapshot()
+	s := NewRegistry().Snapshot()
 	if len(s.Events) != 0 || len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Phases) != 0 {
-		t.Fatalf("empty metrics produced a non-empty snapshot: %+v", s)
+		t.Fatalf("empty registry produced a non-empty snapshot: %+v", s)
 	}
 }
 
+// Phase quantiles are the upper bound of the log₂ bucket (1µs·2^i) holding
+// the nearest-rank sample; Count and Total stay exact.
+
 func TestSnapshotQuantileSingleSample(t *testing.T) {
-	m := NewMetrics()
-	m.PhaseEnd(Phase("climb"), 7*time.Millisecond)
-	st := m.Snapshot().Phases[Phase("climb")]
-	want := 7 * time.Millisecond
-	if st.Count != 1 || st.Min != want || st.P50 != want || st.P99 != want || st.Max != want || st.Total != want {
-		t.Fatalf("single-sample stats = %+v, want all %v", st, want)
+	r := NewRegistry()
+	r.PhaseEnd(Phase("climb"), 7*time.Millisecond)
+	st := r.Snapshot().Phases[Phase("climb")]
+	want := 8192 * time.Microsecond // 7ms lies in (4096µs, 8192µs]
+	if st.Count != 1 || st.P50 != want || st.P99 != want || st.Total != 7*time.Millisecond {
+		t.Fatalf("single-sample stats = %+v, want quantiles %v, total 7ms", st, want)
+	}
+	// A sample on a bucket bound belongs to that bucket.
+	r.PhaseEnd(Phase("edge"), 4096*time.Microsecond)
+	if st := r.Snapshot().Phases[Phase("edge")]; st.P50 != 4096*time.Microsecond {
+		t.Fatalf("bound sample P50 = %v, want 4.096ms", st.P50)
 	}
 }
 
 func TestSnapshotQuantileAllEqual(t *testing.T) {
-	m := NewMetrics()
+	r := NewRegistry()
 	for i := 0; i < 50; i++ {
-		m.PhaseEnd(Phase("climb"), 3*time.Millisecond)
+		r.PhaseEnd(Phase("climb"), 3*time.Millisecond)
 	}
-	st := m.Snapshot().Phases[Phase("climb")]
-	want := 3 * time.Millisecond
-	if st.Min != want || st.P50 != want || st.P99 != want || st.Max != want {
-		t.Fatalf("all-equal stats = %+v, want all %v", st, want)
+	st := r.Snapshot().Phases[Phase("climb")]
+	want := 4096 * time.Microsecond
+	if st.P50 != want || st.P99 != want {
+		t.Fatalf("all-equal stats = %+v, want quantiles %v", st, want)
 	}
-	if st.Total != 50*want {
-		t.Fatalf("total = %v, want %v", st.Total, 50*want)
+	if st.Total != 150*time.Millisecond {
+		t.Fatalf("total = %v, want 150ms", st.Total)
 	}
 }
 
 func TestSnapshotQuantileNearestRank(t *testing.T) {
-	m := NewMetrics()
-	// 100 distinct samples 1ms..100ms, inserted out of order.
+	r := NewRegistry()
+	// 100 distinct samples 1ms..100ms, inserted out of order: rank 50 is
+	// 50ms ∈ (32.768ms, 65.536ms], rank 99 is 99ms ∈ (65.536ms, 131.072ms].
 	for i := 100; i >= 1; i-- {
-		m.PhaseEnd(Phase("climb"), time.Duration(i)*time.Millisecond)
+		r.PhaseEnd(Phase("climb"), time.Duration(i)*time.Millisecond)
 	}
-	st := m.Snapshot().Phases[Phase("climb")]
-	if st.P50 != 50*time.Millisecond {
-		t.Fatalf("P50 = %v, want 50ms", st.P50)
+	st := r.Snapshot().Phases[Phase("climb")]
+	if st.P50 != 65536*time.Microsecond {
+		t.Fatalf("P50 = %v, want 65.536ms", st.P50)
 	}
-	if st.P99 != 99*time.Millisecond {
-		t.Fatalf("P99 = %v, want 99ms", st.P99)
-	}
-	if st.Min != time.Millisecond || st.Max != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", st.Min, st.Max)
+	if st.P99 != 131072*time.Microsecond {
+		t.Fatalf("P99 = %v, want 131.072ms", st.P99)
 	}
 
 	// Two samples: nearest-rank P50 is the smaller one (ceil(2·0.5) = rank 1).
-	m2 := NewMetrics()
-	m2.PhaseEnd(Phase("x"), 1*time.Millisecond)
-	m2.PhaseEnd(Phase("x"), 9*time.Millisecond)
-	st2 := m2.Snapshot().Phases[Phase("x")]
-	if st2.P50 != time.Millisecond {
-		t.Fatalf("two-sample P50 = %v, want 1ms", st2.P50)
+	r.PhaseEnd(Phase("x"), 1*time.Millisecond)
+	r.PhaseEnd(Phase("x"), 9*time.Millisecond)
+	st2 := r.Snapshot().Phases[Phase("x")]
+	if st2.P50 != 1024*time.Microsecond {
+		t.Fatalf("two-sample P50 = %v, want 1.024ms", st2.P50)
 	}
-	if st2.P99 != 9*time.Millisecond {
-		t.Fatalf("two-sample P99 = %v, want 9ms", st2.P99)
+	if st2.P99 != 16384*time.Microsecond {
+		t.Fatalf("two-sample P99 = %v, want 16.384ms", st2.P99)
+	}
+
+	// Past the last finite bound (~19h) the quantile is unbounded.
+	r.PhaseEnd(Phase("stuck"), 24*time.Hour)
+	if st := r.Snapshot().Phases[Phase("stuck")]; st.P50 != time.Duration(math.MaxInt64) || st.Total != 24*time.Hour {
+		t.Fatalf("overflow stats = %+v", st)
 	}
 }
 
@@ -74,7 +87,7 @@ func TestSnapshotQuantileNearestRank(t *testing.T) {
 // goroutines at once; run under -race it is the aggregator's concurrency
 // regression test, and the final totals check that no update was lost.
 func TestMetricsSnapshotHammer(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -88,7 +101,7 @@ func TestMetricsSnapshotHammer(t *testing.T) {
 				m.PhaseEnd(Phase("climb"), time.Duration(i)*time.Microsecond)
 				if i%50 == 0 {
 					s := m.Snapshot()
-					if got := s.Phases[Phase("climb")]; got.Count > 0 && got.Min > got.Max {
+					if got := s.Phases[Phase("climb")]; got.Count > 0 && got.P50 > got.P99 {
 						t.Errorf("inconsistent snapshot: %+v", got)
 						return
 					}
@@ -112,34 +125,28 @@ func TestMetricsSnapshotHammer(t *testing.T) {
 	}
 }
 
-// TestExpvarGaugeReuse pins the allocation fix: setting the same gauge twice
-// must reuse the published expvar.Int, not churn a fresh one per call.
+// TestExpvarGaugeReuse: a gauge published through expvar shows the last
+// level set, not a running sum, and a warm Gauge call does not allocate.
 func TestExpvarGaugeReuse(t *testing.T) {
-	s := NewExpvarSink("test.gauge.reuse")
-	s.Gauge("depth", 3)
-	first, ok := s.m.Get("gauges.depth").(*expvar.Int)
-	if !ok || first == nil {
-		t.Fatalf("gauge not published as *expvar.Int: %#v", s.m.Get("gauges.depth"))
+	r := PublishExpvar("test.gauge.reuse")
+	r.Gauge("depth", 3)
+	r.Gauge("depth", 8)
+	var vars map[string]int64
+	if err := json.Unmarshal([]byte(expvar.Get("test.gauge.reuse").String()), &vars); err != nil {
+		t.Fatal(err)
 	}
-	s.Gauge("depth", 8)
-	second := s.m.Get("gauges.depth").(*expvar.Int)
-	if first != second {
-		t.Fatal("second Gauge call replaced the expvar.Int instead of reusing it")
-	}
-	if got := second.Value(); got != 8 {
+	if got := vars["gauges.depth"]; got != 8 {
 		t.Fatalf("gauge value = %d, want 8", got)
 	}
-	// Steady state costs at most the key concatenation — no new expvar.Int,
-	// no map entry churn.
-	if n := testing.AllocsPerRun(100, func() { s.Gauge("depth", 5) }); n > 1 {
-		t.Fatalf("steady-state Gauge allocates %v times per call, want at most 1", n)
+	if n := testing.AllocsPerRun(100, func() { r.Gauge("depth", 5) }); n != 0 {
+		t.Fatalf("steady-state Gauge allocates %v times per call, want 0", n)
 	}
 }
 
 // TestSnapshotDetached guards against snapshot aliasing: mutating the source
 // after Snapshot must not change the snapshot.
 func TestSnapshotDetached(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	m.Count("steps", 1)
 	m.PhaseEnd(Phase("climb"), time.Millisecond)
 	s := m.Snapshot()
@@ -148,7 +155,7 @@ func TestSnapshotDetached(t *testing.T) {
 	if s.Counters["steps"] != 1 {
 		t.Fatalf("snapshot counter mutated: %d", s.Counters["steps"])
 	}
-	if s.Phases[Phase("climb")].Max != time.Millisecond {
+	if st := s.Phases[Phase("climb")]; st.Count != 1 || st.Total != time.Millisecond {
 		t.Fatalf("snapshot phase mutated: %+v", s.Phases[Phase("climb")])
 	}
 	_ = fmt.Sprintf("%+v", s) // snapshots must be printable (no private state)

@@ -10,10 +10,11 @@
 // uninstrumented one (see BenchmarkSearchObserver in internal/core and the
 // recorded numbers in DESIGN.md).
 //
-// Concrete sinks: TraceWriter (JSONL event trace), Metrics (in-memory
-// aggregation with per-phase min/p50/p99/max), ExpvarSink (live counters on
-// /debug/vars) — composable with Multi. All sinks are safe for concurrent
-// use, which a multi-pair sweep's workers require.
+// Concrete sinks: TraceWriter (JSONL event trace) and Registry (the one
+// in-memory aggregate: Prometheus exposition for /metrics, Snapshot for
+// status pages and tests, PublishExpvar for /debug/vars) — composable with
+// Multi. All sinks are safe for concurrent use, which a multi-pair sweep's
+// workers require.
 package obs
 
 import "time"

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -117,7 +118,7 @@ func TestTraceWriterStickyError(t *testing.T) {
 }
 
 func TestMetricsAggregation(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	for i := 0; i < 3; i++ {
 		m.Event(RestartStarted{})
 	}
@@ -131,19 +132,23 @@ func TestMetricsAggregation(t *testing.T) {
 	if got := m.EventCount("RestartStarted"); got != 3 {
 		t.Errorf("EventCount(RestartStarted) = %d", got)
 	}
+	if got := m.CounterTotal("evals"); got != 42 {
+		t.Errorf("CounterTotal(evals) = %d", got)
+	}
 	s := m.Snapshot()
 	if s.Events["ClimbFinished"] != 1 || s.Counters["evals"] != 42 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	ph := s.Phases[PhaseClimb]
-	if ph.Count != 5 || ph.Min != 1*time.Millisecond || ph.Max != 9*time.Millisecond {
+	if ph.Count != 5 {
 		t.Errorf("phase stats = %+v", ph)
 	}
-	if ph.P50 != 5*time.Millisecond {
-		t.Errorf("p50 = %v, want 5ms", ph.P50)
+	// Bucket bounds: rank 3 is 5ms ∈ (4.096ms, 8.192ms], rank 5 is 9ms.
+	if ph.P50 != 8192*time.Microsecond {
+		t.Errorf("p50 = %v, want 8.192ms", ph.P50)
 	}
-	if ph.P99 != 9*time.Millisecond {
-		t.Errorf("p99 = %v, want 9ms", ph.P99)
+	if ph.P99 != 16384*time.Microsecond {
+		t.Errorf("p99 = %v, want 16.384ms", ph.P99)
 	}
 	if ph.Total != 25*time.Millisecond {
 		t.Errorf("total = %v, want 25ms", ph.Total)
@@ -156,7 +161,7 @@ func TestMetricsAggregation(t *testing.T) {
 }
 
 func TestMetricsConcurrent(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -180,16 +185,16 @@ func TestMultiComposition(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Error("empty composition must be nil")
 	}
-	m := NewMetrics()
+	m := NewRegistry()
 	if Multi(nil, m) != Sink(m) {
 		t.Error("single sink must be returned unwrapped")
 	}
-	m2 := NewMetrics()
+	m2 := NewRegistry()
 	both := Multi(m, m2)
 	both.Event(RestartStarted{})
 	both.Count("c", 2)
 	both.PhaseEnd(PhaseFinalize, time.Millisecond)
-	for i, sink := range []*Metrics{m, m2} {
+	for i, sink := range []*Registry{m, m2} {
 		s := sink.Snapshot()
 		if s.Events["RestartStarted"] != 1 || s.Counters["c"] != 2 || s.Phases[PhaseFinalize].Count != 1 {
 			t.Errorf("sink %d missed fan-out: %+v", i, s)
@@ -198,34 +203,39 @@ func TestMultiComposition(t *testing.T) {
 }
 
 func TestExpvarSink(t *testing.T) {
-	s := NewExpvarSink("tycos_test")
+	// expvar names cannot be unpublished: a fresh name per run keeps
+	// -count repetitions from seeing earlier totals.
+	name := fmt.Sprintf("tycos_test_%d", time.Now().UnixNano())
+	s := PublishExpvar(name)
 	s.Event(ClimbFinished{})
 	s.Event(ClimbFinished{})
 	s.Count("evals", 5)
 	s.PhaseEnd(PhaseClimb, 3*time.Millisecond)
-	// Re-attaching must not panic and must accumulate into the same map.
-	s2 := NewExpvarSink("tycos_test")
+	// Re-publishing must not panic and must accumulate into the same object.
+	s2 := PublishExpvar(name)
 	s2.Count("evals", 1)
 
-	m, ok := expvar.Get("tycos_test").(*expvar.Map)
-	if !ok {
-		t.Fatal("map not published")
+	v := expvar.Get(name)
+	if v == nil {
+		t.Fatal("registry not published")
 	}
-	get := func(k string) int64 {
-		v, ok := m.Get(k).(*expvar.Int)
-		if !ok {
-			t.Fatalf("missing expvar key %q", k)
+	var vars map[string]int64
+	if err := json.Unmarshal([]byte(v.String()), &vars); err != nil {
+		t.Fatalf("published value is not a JSON object of integers: %v\n%s", err, v)
+	}
+	want := map[string]int64{
+		"events.ClimbFinished": 2,
+		"counters.evals":       6,
+		"phase.climb.count":    1,
+		"phase.climb.ns":       int64(3 * time.Millisecond),
+	}
+	if len(vars) != len(want) {
+		t.Errorf("published keys = %v, want %v", vars, want)
+	}
+	for k, w := range want {
+		if vars[k] != w {
+			t.Errorf("%s = %d, want %d", k, vars[k], w)
 		}
-		return v.Value()
-	}
-	if get("events.ClimbFinished") != 2 {
-		t.Errorf("events.ClimbFinished = %d", get("events.ClimbFinished"))
-	}
-	if get("counters.evals") != 6 {
-		t.Errorf("counters.evals = %d", get("counters.evals"))
-	}
-	if get("phase.climb.count") != 1 || get("phase.climb.ns") != int64(3*time.Millisecond) {
-		t.Errorf("phase totals wrong: count=%d ns=%d", get("phase.climb.count"), get("phase.climb.ns"))
 	}
 }
 
@@ -261,7 +271,7 @@ func TestTraceWriterFlushDrainsBuffer(t *testing.T) {
 }
 
 func TestGauges(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry()
 	var s Sink = Multi(m, NewTraceWriter(io.Discard))
 	SetGauge(s, "queue_depth", 3)
 	SetGauge(s, "queue_depth", 7) // replaces, does not add
@@ -277,10 +287,10 @@ func TestGauges(t *testing.T) {
 	SetGauge(NewTraceWriter(io.Discard), "x", 1)
 	SetGauge(nil, "x", 1)
 
-	ev := NewExpvarSink("gauge_test")
+	ev := PublishExpvar("gauge_test")
 	ev.Gauge("depth", 5)
 	ev.Gauge("depth", 2)
-	if got := expvar.Get("gauge_test").(*expvar.Map).Get("gauges.depth").String(); got != "2" {
-		t.Errorf("expvar gauge = %s, want 2", got)
+	if got := ev.Snapshot().vars()["gauges.depth"]; got != 2 {
+		t.Errorf("expvar gauge = %d, want 2", got)
 	}
 }

@@ -25,16 +25,22 @@ import (
 //	phase timings  → tycos_search_phase_duration_seconds{phase="climb"}
 //	gauges         → tycos_<name>
 //
+// Snapshot reads the Sink-fed part back (events, counters and gauges by
+// their raw names, phase summaries from the phase histogram): it is the
+// single in-memory aggregate behind /metrics, /statusz and /debug/vars.
+//
 // Hot-path behaviour: after a family/series exists, every update is a
 // read-locked map lookup plus an atomic op — no allocation. Creating a
 // series (first sight of a label value) takes the write lock once.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	// sanitized caches metric-name sanitization for dynamic counter/gauge
-	// names arriving through the Sink interface, so repeated emissions of
-	// the same name never re-allocate.
-	sanitized map[string]string
+	// counters and gauges map the raw names arriving through the Sink
+	// interface ("daemon.search_failed") to their series: a warm emission
+	// is one read-locked lookup plus an atomic op, and Snapshot reports the
+	// names as they were emitted rather than their sanitized forms.
+	counters map[string]*Series
+	gauges   map[string]*Series
 
 	events *Vec // tycos_search_events_total{kind}
 	phases *Vec // tycos_search_phase_duration_seconds{phase}
@@ -149,8 +155,9 @@ func (v *Vec) With(values ...string) *Series {
 // search-phase families the Sink implementation feeds.
 func NewRegistry() *Registry {
 	r := &Registry{
-		families:  make(map[string]*family),
-		sanitized: make(map[string]string),
+		families: make(map[string]*family),
+		counters: make(map[string]*Series),
+		gauges:   make(map[string]*Series),
 	}
 	r.events = r.CounterVec("tycos_search_events_total",
 		"Search events observed, by event kind.", "kind")
@@ -217,30 +224,38 @@ func (r *Registry) HistogramVec(name, help string, labels ...string) *Vec {
 }
 
 // sanitizeName maps an arbitrary counter/gauge name onto the Prometheus
-// metric-name alphabet [a-zA-Z0-9_] (dots and dashes become underscores),
-// caching the result so steady-state emission never allocates.
-func (r *Registry) sanitizeName(name string) string {
+// metric-name alphabet [a-zA-Z0-9_] (dots and dashes become underscores).
+func sanitizeName(name string) string {
+	b := []byte(name)
+	for i, c := range b {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_',
+			c >= '0' && c <= '9' && i > 0:
+		default:
+			b[i] = '_'
+		}
+	}
+	return string(b)
+}
+
+// sinkSeries resolves the series behind a raw Sink counter or gauge name,
+// registering tycos_<sanitized name>_total (counters) or
+// tycos_<sanitized name> (gauges) on first sight. Raw names that sanitize
+// alike share one series.
+func (r *Registry) sinkSeries(byName map[string]*Series, name string, kind metricKind) *Series {
 	r.mu.RLock()
-	s, ok := r.sanitized[name]
+	s, ok := byName[name]
 	r.mu.RUnlock()
 	if ok {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_',
-			c >= '0' && c <= '9' && i > 0:
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
+	prom, help := "tycos_"+sanitizeName(name), "Current level of the "+name+" gauge."
+	if kind == kindCounter {
+		prom, help = prom+"_total", "Cumulative total of the "+name+" search counter."
 	}
-	s = b.String()
+	s = r.register(prom, help, kind).With()
 	r.mu.Lock()
-	r.sanitized[name] = s
+	byName[name] = s
 	r.mu.Unlock()
 	return s
 }
@@ -253,8 +268,7 @@ func (r *Registry) Event(e Event) { r.events.With(e.Kind()).Inc() }
 // Count implements Sink: dynamic counters surface as
 // tycos_<sanitized name>_total.
 func (r *Registry) Count(name string, delta int64) {
-	r.Counter("tycos_"+r.sanitizeName(name)+"_total",
-		"Cumulative total of the "+name+" search counter.").Add(delta)
+	r.sinkSeries(r.counters, name, kindCounter).Add(delta)
 }
 
 // PhaseEnd implements Sink: phase durations land in the per-phase histogram.
@@ -264,7 +278,7 @@ func (r *Registry) PhaseEnd(p Phase, d time.Duration) {
 
 // Gauge implements GaugeSink: levels surface as tycos_<sanitized name>.
 func (r *Registry) Gauge(name string, value int64) {
-	r.register("tycos_"+r.sanitizeName(name), "Current level of the "+name+" gauge.", kindGauge).With().Set(value)
+	r.sinkSeries(r.gauges, name, kindGauge).Set(value)
 }
 
 // escapeLabel escapes a label value for the text exposition format.

@@ -146,15 +146,33 @@ func assertPanics(t *testing.T, name string, f func()) {
 }
 
 func TestSanitizeName(t *testing.T) {
-	r := NewRegistry()
 	for in, want := range map[string]string{
 		"climb.steps":   "climb_steps",
 		"queue-depth":   "queue_depth",
 		"ok_name9":      "ok_name9",
 		"9starts.digit": "_starts_digit",
 	} {
-		if got := r.sanitizeName(in); got != want {
+		if got := sanitizeName(in); got != want {
 			t.Errorf("sanitizeName(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestRegistrySinkAllocs pins the allocation-free Sink path: once a name has
+// been seen, Count, Gauge and PhaseEnd are a read-locked lookup plus an
+// atomic update.
+func TestRegistrySinkAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Count("daemon.search_requests", 1)
+	r.Gauge("queue_depth", 1)
+	r.PhaseEnd(PhaseClimb, time.Millisecond)
+	for name, f := range map[string]func(){
+		"Count":    func() { r.Count("daemon.search_requests", 1) },
+		"Gauge":    func() { r.Gauge("queue_depth", 3) },
+		"PhaseEnd": func() { r.PhaseEnd(PhaseClimb, time.Millisecond) },
+	} {
+		if n := testing.AllocsPerRun(1000, f); n != 0 {
+			t.Errorf("warm %s allocates %v times per call, want 0", name, n)
 		}
 	}
 }

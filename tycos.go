@@ -273,12 +273,14 @@ type TraceWriter = obs.TraceWriter
 // call Close (or Flush) to drain. It does not close w.
 func NewTraceWriter(w io.Writer) *TraceWriter { return obs.NewTraceWriter(w) }
 
-// Metrics aggregates observations in memory: event and counter totals plus
-// min/p50/p99/max per phase. Safe for concurrent use.
-type Metrics = obs.Metrics
+// Metrics aggregates observations in memory: event, counter and gauge
+// totals plus a bucketed duration histogram per phase (exact count and
+// total, bucket-bound p50/p99). It is the registry the daemon serves on
+// /metrics and /statusz. Safe for concurrent use.
+type Metrics = obs.Registry
 
 // NewMetrics returns an empty Metrics aggregator.
-func NewMetrics() *Metrics { return obs.NewMetrics() }
+func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // MetricsSnapshot is a detached copy of a Metrics aggregator's state.
 type MetricsSnapshot = obs.Snapshot
@@ -317,10 +319,11 @@ type Sampler = obs.Sampler
 // IDs (≤0 none, ≥1 all).
 func NewSampler(ratio float64) Sampler { return obs.NewSampler(ratio) }
 
-// NewExpvarObserver publishes live totals under the named expvar map —
-// visible at /debug/vars wherever an HTTP server mounts expvar (the
-// tycos CLI's -pprof flag does).
-func NewExpvarObserver(name string) Observer { return obs.NewExpvarSink(name) }
+// NewExpvarObserver returns a Metrics aggregator published under the named
+// expvar variable — visible at /debug/vars wherever an HTTP server mounts
+// expvar (the tycos CLI's -pprof flag does). Repeated calls with one name
+// return the same aggregator.
+func NewExpvarObserver(name string) Observer { return obs.PublishExpvar(name) }
 
 // Checkpoint is a JSONL-backed journal of completed pair results; plug it
 // into SweepOptions.Checkpoint to make a multi-pair sweep survive kills and
